@@ -124,14 +124,14 @@ let run ?(smoke = false) () =
               drain_ms = 1_000 }
           in
           Serve.Supervisor.start ~config srv
-            ~listen:(Serve.Supervisor.Unix_path path))
+            ~listen:(Serve.Conn.Unix_path path))
         paths
     in
     let rpath = Filename.concat root (Printf.sprintf "router%d.sock" n) in
     let router =
       Serve.Router.start
         ~config:{ (router_config n) with coalesce_hold_ms = hold_ms }
-        ~listen:(Serve.Supervisor.Unix_path rpath) ~replicas:paths ()
+        ~listen:(Serve.Conn.Unix_path rpath) ~replicas:paths ()
     in
     Fun.protect
       ~finally:(fun () ->

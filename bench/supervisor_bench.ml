@@ -93,7 +93,7 @@ let run ?(smoke = false) () =
         drain_ms = 2_000 }
     in
     let path = sock_path workers in
-    let sup = Serve.Supervisor.start ~config srv ~listen:(Serve.Supervisor.Unix_path path) in
+    let sup = Serve.Supervisor.start ~config srv ~listen:(Serve.Conn.Unix_path path) in
     let failures = Atomic.make 0 in
     let body () =
       let fd = connect path in
@@ -136,7 +136,7 @@ let run ?(smoke = false) () =
         workers = 1; queue = 1; request_timeout_ms = 400; drain_ms = 1_000 }
     in
     let path = Filename.concat root "overload.sock" in
-    let sup = Serve.Supervisor.start ~config srv ~listen:(Serve.Supervisor.Unix_path path) in
+    let sup = Serve.Supervisor.start ~config srv ~listen:(Serve.Conn.Unix_path path) in
     let pin = connect path in
     send_raw pin {|{"op":"sta|};
     let rec wait_busy n =

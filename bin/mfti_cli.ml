@@ -1055,14 +1055,15 @@ let run_serve root socket tcp cache_mb workers queue request_timeout_ms
   report_quarantine server;
   let listen =
     match (socket, tcp) with
-    | Some path, None -> Some (Serve.Supervisor.Unix_path path)
+    | Some path, _ ->
+      (match Serve.Conn.parse_addr path with
+       | Serve.Conn.Unix_path _ as l -> Some l
+       | Serve.Conn.Tcp _ -> invalid_arg "serve: --socket wants a socket path")
     | None, Some addr ->
-      (match Serve.Router.parse_addr addr with
-       | Serve.Supervisor.Tcp _ as l -> Some l
-       | Serve.Supervisor.Unix_path _ ->
-         invalid_arg "serve: --tcp wants HOST:PORT")
+      (match Serve.Conn.parse_addr addr with
+       | Serve.Conn.Tcp _ as l -> Some l
+       | Serve.Conn.Unix_path _ -> invalid_arg "serve: --tcp wants HOST:PORT")
     | None, None -> None
-    | Some _, Some _ -> assert false
   in
   (match listen with
    | None -> ignore (Serve.Server.serve_channels server stdin stdout)
@@ -1073,11 +1074,11 @@ let run_serve root socket tcp cache_mb workers queue request_timeout_ms
      in
      let sup = Serve.Supervisor.start ~config server ~listen in
      (match (listen, Serve.Supervisor.bound_port sup) with
-      | Serve.Supervisor.Tcp (host, _), Some port ->
+      | Serve.Conn.Tcp (host, _), Some port ->
         Printf.eprintf
           "mfti serve: listening on %s:%d (%d workers, queue %d)\n%!" host
           port workers queue
-      | Serve.Supervisor.Unix_path path, _ ->
+      | Serve.Conn.Unix_path path, _ ->
         Printf.eprintf
           "mfti serve: listening on %s (%d workers, queue %d)\n%!" path
           workers queue
@@ -1154,7 +1155,7 @@ let route_conns_arg =
 let run_route listen replicas vnodes probe_interval_ms fail_threshold
     max_failover request_timeout_ms coalesce_hold_ms max_conns =
   guarded @@ fun () ->
-  let listen = Serve.Router.parse_addr listen in
+  let listen = Serve.Conn.parse_addr listen in
   let config =
     { Serve.Router.default_config with
       vnodes; probe_interval_ms; fail_threshold; max_failover;
@@ -1162,10 +1163,10 @@ let run_route listen replicas vnodes probe_interval_ms fail_threshold
   in
   let rt = Serve.Router.start ~config ~listen ~replicas () in
   (match (listen, Serve.Router.bound_port rt) with
-   | Serve.Supervisor.Tcp (host, _), Some port ->
+   | Serve.Conn.Tcp (host, _), Some port ->
      Printf.eprintf "mfti route: listening on %s:%d over %d replicas\n%!"
        host port (List.length replicas)
-   | Serve.Supervisor.Unix_path p, _ ->
+   | Serve.Conn.Unix_path p, _ ->
      Printf.eprintf "mfti route: listening on %s over %d replicas\n%!" p
        (List.length replicas)
    | _ -> ());
@@ -1234,64 +1235,35 @@ let stream_fail message =
   Linalg.Mfti_error.raise_error
     (Linalg.Mfti_error.Validation { context = "fit-stream"; message })
 
-(* Connect to a server address (HOST:PORT or Unix socket path) with
-   capped exponential backoff.  Giving up is a typed diagnostic naming
-   the attempt count, never a raw Unix error. *)
-let connect_with_retry ?(attempts = 5) ?(base_ms = 100) ?(cap_ms = 2_000)
-    ~fail addr_s =
-  let addr =
-    match Serve.Router.parse_addr addr_s with
-    | a -> a
-    | exception Linalg.Mfti_error.Error _ ->
-      Serve.Supervisor.Unix_path addr_s
-  in
-  let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let try_once () =
-    match addr with
-    | Serve.Supervisor.Unix_path p ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (match Unix.connect fd (Unix.ADDR_UNIX p) with
-       | () -> Ok fd
-       | exception Unix.Unix_error (e, _, _) ->
-         close_quiet fd;
-         Error (Unix.error_message e))
-    | Serve.Supervisor.Tcp (host, port) ->
-      let ip =
-        try Some (Unix.inet_addr_of_string host)
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } -> None
-          | h -> Some h.Unix.h_addr_list.(0)
-          | exception Not_found -> None)
-      in
-      (match ip with
-       | None -> Error ("cannot resolve host " ^ host)
-       | Some ip ->
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try Unix.setsockopt fd Unix.TCP_NODELAY true
-          with Unix.Unix_error _ -> ());
-         (match Unix.connect fd (Unix.ADDR_INET (ip, port)) with
-          | () -> Ok fd
-          | exception Unix.Unix_error (e, _, _) ->
-            close_quiet fd;
-            Error (Unix.error_message e)))
-  in
-  let rec go n delay_ms =
-    match try_once () with
+(* Connect to a server address (HOST:PORT or Unix socket path), retrying
+   with capped exponential backoff.  Giving up is a typed diagnostic
+   naming the attempt count, never a raw Unix error. *)
+let connect_attempts = 5
+let connect_base_ms = 100
+let connect_cap_ms = 2_000
+
+let connect_with_retry addr_s =
+  let addr = Serve.Conn.parse_addr addr_s in
+  let rec go n =
+    match Serve.Conn.connect ~timeout_s:1.0 addr with
     | Ok fd -> fd
     | Error msg ->
-      if n >= attempts then
-        fail
+      if n >= connect_attempts then
+        stream_fail
           (Printf.sprintf
              "gave up connecting to %s after %d attempts (capped \
               exponential backoff): %s"
-             addr_s attempts msg)
+             addr_s connect_attempts msg)
       else begin
-        Unix.sleepf (float_of_int delay_ms /. 1000.);
-        go (n + 1) (Stdlib.min cap_ms (delay_ms * 2))
+        Unix.sleepf
+          (float_of_int
+             (Serve.Conn.backoff_ms ~base_ms:connect_base_ms
+                ~cap_ms:connect_cap_ms (n - 1))
+           /. 1000.);
+        go (n + 1)
       end
   in
-  go 1 base_ms
+  go 1
 
 let sample_json (s : Sampling.sample) =
   let p, m = Linalg.Cmat.dims s.Sampling.s in
@@ -1365,7 +1337,7 @@ let run_fit_stream path policy socket batches holdout_every width rank_tol
     | Some id -> id
     | None -> Filename.remove_extension (Filename.basename path)
   in
-  let sock = connect_with_retry ~fail:stream_fail socket in
+  let sock = connect_with_retry socket in
   let ic = Unix.in_channel_of_descr sock in
   let oc = Unix.out_channel_of_descr sock in
   Fun.protect

@@ -29,7 +29,8 @@
                                direct-LU fallback
     - ["serve.torn_write"]     artifact save killed mid-write: half the
                                bytes reach the temp file, no rename
-    - ["serve.slow_client"]    supervisor treats a partial request frame
+    - ["serve.slow_client"]    the serving tier's frame reader
+                               ([Serve.Conn]) treats a partial frame
                                as having blown its read deadline
     - ["serve.stall"]          request handler sleeps past the request
                                deadline, forcing a "timeout" response

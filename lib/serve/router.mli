@@ -47,7 +47,16 @@
     Upstream connections are pooled per replica and negotiated to
     binary frames, so grid payloads cross the router as raw IEEE-754;
     a JSON client's response is re-rendered from the bits
-    ({!Frame.results_json}), a binary client's is relayed as-is.
+    ({!Frame.results_json}), a binary client's is relayed as-is.  A
+    pooled connection found readable before reuse — the replica's idle
+    timeout closed it — is discarded and the next one taken, so an
+    idle fleet does not turn into replica errors or failovers.
+
+    Client connections are served by {!Conn.serve}, one thread each
+    (a coalescing follower blocks while it holds its connection), with
+    the same idle and partial-frame deadlines as a replica;
+    [max_conns] caps them and {!Conn.accept_loop} sheds the rest with
+    a typed ["overloaded"] reply.
 
     Session ([fit-*]) ops are {b connection-sticky}: the replica that
     answers a connection's [fit-open] owns every later session op on
@@ -147,20 +156,15 @@ type snapshot = {
   rt_replicas : replica_snapshot list;
 }
 
-(** [parse_addr s] reads a replica/listen address: [host:port] (no
-    [/]) is TCP, anything else a Unix socket path.  Raises
-    {!Linalg.Mfti_error.Error} ([Validation]) on a malformed port. *)
-val parse_addr : string -> Supervisor.listener
-
 type t
 
 (** [start ~listen ~replicas ()] binds the client listener, spawns the
     accept loop and health prober, and returns immediately.  [replicas]
-    are addresses per {!parse_addr}; the list must be non-empty and
+    are addresses per {!Conn.parse_addr}; the list must be non-empty and
     duplicate-free (typed [Validation] otherwise).  The {e first}
     replica is the chaos target for the [router.*] fault sites. *)
 val start :
-  ?config:config -> listen:Supervisor.listener -> replicas:string list ->
+  ?config:config -> listen:Conn.addr -> replicas:string list ->
   unit -> t
 
 (** The actual TCP port bound ([None] for a Unix listener). *)
@@ -179,5 +183,5 @@ val stop : t -> unit
 
 (** [run ~listen ~replicas ()] is {!start}, {!wait}, then {!stop}. *)
 val run :
-  ?config:config -> listen:Supervisor.listener -> replicas:string list ->
+  ?config:config -> listen:Conn.addr -> replicas:string list ->
   unit -> unit

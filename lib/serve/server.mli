@@ -3,8 +3,8 @@
     Serves a directory of packed artifacts ([<root>/<id>.mfti]) over a
     line-delimited-JSON protocol: one request object per line in, one
     response object per line out.  No external dependencies — the
-    transport is stdin/stdout ({!serve_channels}) or a Unix domain
-    socket ({!serve_unix_socket}).
+    transport is stdin/stdout ({!serve_channels}), or a Unix domain or
+    TCP socket through {!Supervisor}.
 
     {2 Protocol}
 
@@ -182,6 +182,13 @@ type reply = Text of string | Grid of string
     [~binary:false] it never returns [Grid]. *)
 val handle_request : t -> binary:bool -> string -> reply * bool
 
+(** [grid_reply ~binary meta grid] renders an eval-grid response whose
+    non-result fields are [meta]: a [Grid] body when [binary], else
+    [Text] with the JSON ["results"] array.  Shared with {!Router},
+    which renders coalesced grids for its own clients. *)
+val grid_reply :
+  binary:bool -> (string * Sjson.t) list -> Linalg.Cmat.t array -> reply
+
 (** [error_response ?op e] is the standard typed rendering of a
     pipeline error — [{"ok":false,"error":{"kind":K,"message":M}}] with
     [K] from the {!Linalg.Mfti_error} taxonomy.  Exposed so the
@@ -198,37 +205,6 @@ val protocol_error : ?op:string -> kind:string -> message:string -> unit -> Sjso
 (** Serve until EOF or a shutdown request; responses are flushed after
     every line.  Returns how the loop ended. *)
 val serve_channels : t -> in_channel -> out_channel -> [ `Eof | `Stop ]
-
-(** [bind_unix ~path] binds and listens on a Unix domain socket at
-    [path] without the unlink-then-bind race: if the path is currently
-    connectable (a live server owns it) the call fails with a typed
-    {!Linalg.Mfti_error.Validation} error instead of deleting the live
-    socket; a stale file from a dead process is removed and rebound.
-    SIGPIPE is set to ignore.  A successful bind confers ownership —
-    release with {!release_unix}. *)
-val bind_unix : path:string -> Unix.file_descr
-
-(** [release_unix ~path sock] closes the listening socket and unlinks
-    the path we own.  Never raises. *)
-val release_unix : path:string -> Unix.file_descr -> unit
-
-(** [bind_tcp ~host ~port] binds and listens on a TCP address and
-    returns the socket with the actual bound port (useful with
-    [~port:0], which picks an ephemeral port).  [SO_REUSEADDR] is set
-    so a restarted replica rebinds without waiting out TIME_WAIT; a
-    busy address or unresolvable host is a typed
-    {!Linalg.Mfti_error.Validation} error.  SIGPIPE is set to
-    ignore. *)
-val bind_tcp : host:string -> port:int -> Unix.file_descr * int
-
-(** Bind a Unix domain socket at [path] (via {!bind_unix}), accept
-    connections sequentially, and serve each until EOF.  Per-connection
-    channels are closed through [Fun.protect] (output first, flushing
-    buffered bytes) so an error between accept and close can never leak
-    the descriptor.  Returns after a shutdown request; the socket file
-    is removed.  For concurrent serving with deadlines and load
-    shedding use {!Supervisor} instead. *)
-val serve_unix_socket : t -> path:string -> unit
 
 (** Counters snapshot: total/per-op request counts, error count,
     latency totals and maxima (seconds), bytes in/out, cache

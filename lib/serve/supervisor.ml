@@ -2,13 +2,13 @@ open Linalg
 
 (* Supervised concurrent serving.
 
-   One accept loop owns the listening socket and dispatches each
-   connection into a bounded admission queue; a fixed set of workers
-   (OCaml 5 domains, falling back to threads when the domain budget is
-   exhausted) pops connections and serves them with per-connection
-   idle/frame deadlines and a per-request deadline.  When the queue is
-   full the accept loop sheds: the client gets a typed "overloaded"
-   response immediately instead of waiting in an unbounded backlog.
+   {!Conn}'s accept loop dispatches each connection into a bounded
+   admission queue; a fixed set of workers (OCaml 5 domains, falling
+   back to threads when the domain budget is exhausted) pops
+   connections and serves them through {!Conn.serve}, adding a
+   per-request evaluation deadline.  When the queue is full the accept
+   loop sheds: the client gets a typed "overloaded" response
+   immediately instead of waiting in an unbounded backlog.
    A worker whose connection handler dies is restarted with
    exponential backoff; a shutdown request drains gracefully — stop
    accepting, finish in-flight work under a drain deadline, then
@@ -76,12 +76,10 @@ type snapshot = {
 
 type runner = Dom of unit Domain.t | Thr of Thread.t
 
-type listener = Unix_path of string | Tcp of string * int
-
 type t = {
   server : Server.t;
   config : config;
-  listen : listener;
+  listen : Conn.addr;
   bound : int option;                   (* actual TCP port *)
   listen_fd : Unix.file_descr;
   mu : Mutex.t;
@@ -105,141 +103,7 @@ type t = {
   mutable accept_runner : runner option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Low-level socket I/O with deadlines (wall-clock seconds) *)
-
 let now () = Unix.gettimeofday ()
-
-(* Ticked select so the loop notices [stopping] and forced shutdowns
-   promptly; the tick is coarse enough to stay off the profile. *)
-let tick = 0.05
-
-let write_all_deadline fd s ~deadline =
-  let len = String.length s in
-  let rec go off =
-    if off >= len then `Ok
-    else
-      let t = now () in
-      if t >= deadline then `Timeout
-      else
-        match Unix.select [] [ fd ] [] (Float.min tick (deadline -. t)) with
-        | _, [], _ -> go off
-        | _ ->
-          (match Unix.write_substring fd s off (len - off) with
-           | k -> go (off + k)
-           | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-             -> `Closed)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Frame reader: accumulate bytes, hand out complete frames under the
-   connection's negotiated mode — newline-delimited JSON lines, or
-   length-prefixed binary frames ({!Frame.Reader} owns the buffering
-   and extraction for both).
-
-   Deadline policy: an *idle* connection (no partial frame pending) may
-   sit for [idle_timeout_ms]; once the first byte of a frame arrives,
-   the rest must follow within [request_timeout_ms] — a slow client
-   cannot hold a worker hostage for the idle window.  The
-   ["serve.slow_client"] fault site forces the partial-frame expiry
-   deterministically, without real clock time. *)
-
-type frame =
-  [ `Line of string      (* complete request payload (JSON text) *)
-  | `Timeout_idle        (* keep-alive expired with no frame pending *)
-  | `Timeout_partial     (* client stalled mid-frame *)
-  | `Eof
-  | `Too_long
-  | `Bad of string       (* malformed binary frame; stream is lost *)
-  | `Drain ]             (* draining and nothing buffered *)
-
-let read_frame t conn reader chunk ~mode : frame =
-  let cfg = t.config in
-  let started = now () in
-  let idle_deadline = started +. (float_of_int cfg.idle_timeout_ms /. 1000.) in
-  let frame_deadline = ref None in      (* set when the frame starts *)
-  let rec go () =
-    match Frame.Reader.next reader ~mode ~max_bytes:cfg.max_line_bytes with
-    | `Frame (Frame.Json_text line) -> `Line line
-    | `Frame (Frame.Grid_body _) -> `Bad "grid frames are response-only"
-    | `Too_long -> `Too_long
-    | `Bad m -> `Bad m
-    | `None ->
-      begin
-        let partial = Frame.Reader.pending reader > 0 in
-        if partial && !frame_deadline = None then
-          frame_deadline :=
-            Some (now () +. (float_of_int cfg.request_timeout_ms /. 1000.));
-        if partial && Fault.armed "serve.slow_client" then `Timeout_partial
-        else begin
-          let deadline =
-            match !frame_deadline with
-            | Some d -> Float.min d idle_deadline
-            | None -> idle_deadline
-          in
-          let t' = now () in
-          if t' >= deadline then
-            (if partial then `Timeout_partial else `Timeout_idle)
-          else if t.stopping && not partial then `Drain
-          else
-            match Unix.select [ conn ] [] [] (Float.min tick (deadline -. t')) with
-            | [], _, _ -> go ()
-            | _ ->
-              (match Unix.read conn chunk 0 (Bytes.length chunk) with
-               | 0 ->
-                 (* EOF with a trailing unterminated JSON line: serve
-                    it, the way [input_line] would on the stdio
-                    transport.  A truncated binary frame at EOF is just
-                    EOF — its length prefix promised bytes that never
-                    came. *)
-                 if partial && mode = Frame.Json then
-                   `Line (Frame.Reader.take_rest reader)
-                 else `Eof
-               | k ->
-                 Frame.Reader.add reader chunk k;
-                 go ()
-               | exception
-                   Unix.Unix_error
-                     ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-                 `Eof)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        end
-      end
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Typed protocol responses for supervisor-level conditions *)
-
-(* Render a reply under the connection's frame mode.  JSON-lines mode
-   never sees [Server.Grid] — {!Server.handle_request} only produces it
-   when asked for binary rendering. *)
-let reply_bytes ~mode (reply : Server.reply) =
-  match (mode, reply) with
-  | Frame.Json, Server.Text s -> s ^ "\n"
-  | Frame.Binary, Server.Text s -> Frame.encode_json s
-  | Frame.Binary, Server.Grid body -> Frame.encode_grid body
-  | Frame.Json, Server.Grid _ -> assert false
-
-let send_reply conn ~mode ~deadline reply =
-  write_all_deadline conn (reply_bytes ~mode reply) ~deadline
-
-let send_response ?(mode = Frame.Json) conn ~deadline json =
-  ignore (send_reply conn ~mode ~deadline (Server.Text (Sjson.to_string json)))
-
-let overloaded_response queue =
-  Server.protocol_error ~kind:"overloaded"
-    ~message:
-      (Printf.sprintf
-         "admission queue full (%d waiting); retry with backoff" queue)
-    ()
-
-let timeout_response ?op what ms =
-  Server.protocol_error ?op ~kind:"timeout"
-    ~message:(Printf.sprintf "%s deadline exceeded (%d ms)" what ms)
-    ()
 
 (* ------------------------------------------------------------------ *)
 (* Drain initiation *)
@@ -259,125 +123,65 @@ let request_stop t =
 (* ------------------------------------------------------------------ *)
 (* Connection handler (runs on a worker) *)
 
+(* One request under the evaluation deadline: a request whose handler
+   overruns [request_timeout_ms] gets a typed "timeout" instead of its
+   (discarded) result. *)
+let handle_request t ws ~binary line =
+  let req_timeout_s = float_of_int t.config.request_timeout_ms /. 1000. in
+  let t0 = now () in
+  (* deterministic chaos: a handler that dies mid-connection; the
+     worker's supervisor loop catches, counts a restart, and backs off *)
+  Fault.check "serve.conn_drop";
+  (* deterministic chaos: a request that blows its deadline *)
+  if Fault.armed "serve.stall" then Unix.sleepf (2. *. req_timeout_s);
+  let reply, stop = Server.handle_request t.server ~binary line in
+  let dt = now () -. t0 in
+  let reply =
+    if dt > req_timeout_s then begin
+      Mutex.protect t.mu (fun () ->
+          t.s_request_timeouts <- t.s_request_timeouts + 1);
+      let op =
+        match Sjson.member "op" (Sjson.parse line) with
+        | Some (Sjson.Str op) -> Some op
+        | _ -> None
+        | exception Sjson.Parse_error _ -> None
+      in
+      Server.Text
+        (Sjson.to_string
+           (Server.protocol_error ?op ~kind:"timeout"
+              ~message:
+                (Printf.sprintf "request deadline exceeded (%d ms)"
+                   t.config.request_timeout_ms)
+              ()))
+    end
+    else reply
+  in
+  Mutex.protect t.mu (fun () ->
+      ws.served <- ws.served + 1;
+      ws.w_total_s <- ws.w_total_s +. dt;
+      if dt > ws.w_max_s then ws.w_max_s <- dt);
+  (reply, stop)
+
 let handle_conn t i conn =
   Parallel.with_sequential @@ fun () ->
   let cfg = t.config in
-  let ws = t.wstats.(i) in
-  let reader = Frame.Reader.create () in
-  let chunk = Bytes.create 4096 in
-  let mode = ref Frame.Json in
-  let req_timeout_s = float_of_int cfg.request_timeout_ms /. 1000. in
-  let rec serve_loop () =
-    match read_frame t conn reader chunk ~mode:!mode with
-    | `Drain | `Eof -> ()
-    | `Too_long ->
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (Server.protocol_error ~kind:"validation"
-           ~message:
-             (Printf.sprintf "request frame exceeds the %d-byte cap"
-                cfg.max_line_bytes)
-           ())
-    | `Bad msg ->
-      (* the stream is desynchronized past a malformed binary frame:
-         answer with a typed error and close *)
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (Server.protocol_error ~kind:"parse"
-           ~message:("malformed frame: " ^ msg) ())
-    | `Timeout_idle ->
-      Mutex.lock t.mu;
-      t.s_idle_timeouts <- t.s_idle_timeouts + 1;
-      Mutex.unlock t.mu
-      (* silent close: an idle keep-alive expiry is not an error *)
-    | `Timeout_partial ->
-      Mutex.lock t.mu;
-      t.s_read_timeouts <- t.s_read_timeouts + 1;
-      Mutex.unlock t.mu;
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (timeout_response "request frame" cfg.request_timeout_ms)
-    | `Line "" -> serve_loop ()       (* blank keep-alive lines *)
-    | `Line line ->
-      (match Frame.is_hello line with
-       | Some frames ->
-         (* frame negotiation is transport-level: ack in the old mode,
-            then switch.  An unknown value is a typed refusal and the
-            mode stays put. *)
-         let reply, next_mode =
-           match frames with
-           | "binary" -> (Frame.hello_ack "binary", Some Frame.Binary)
-           | "json" -> (Frame.hello_ack "json", Some Frame.Json)
-           | other ->
-             ( Sjson.to_string
-                 (Server.protocol_error ~op:"hello" ~kind:"validation"
-                    ~message:
-                      (Printf.sprintf
-                         "unknown frames value %S (want \"json\" or \
-                          \"binary\")"
-                         other)
-                    ()),
-               None )
-         in
-         (match
-            send_reply conn ~mode:!mode
-              ~deadline:(now () +. req_timeout_s)
-              (Server.Text reply)
-          with
-          | `Ok ->
-            (match next_mode with Some m -> mode := m | None -> ());
-            serve_loop ()
-          | `Closed -> Server.note_conn_drop t.server
-          | `Timeout -> ())
-       | None ->
-         let t0 = now () in
-         (* deterministic chaos: a handler that dies mid-connection; the
-            worker's supervisor loop catches, counts a restart, and
-            backs off *)
-         Fault.check "serve.conn_drop";
-         (* deterministic chaos: a request that blows its deadline *)
-         if Fault.armed "serve.stall" then Unix.sleepf (2. *. req_timeout_s);
-         let reply, stop =
-           Server.handle_request t.server
-             ~binary:(!mode = Frame.Binary) line
-         in
-         let dt = now () -. t0 in
-         let reply =
-           if dt > req_timeout_s then begin
-             Mutex.lock t.mu;
-             t.s_request_timeouts <- t.s_request_timeouts + 1;
-             Mutex.unlock t.mu;
-             let op =
-               match Sjson.parse line with
-               | req ->
-                 (match Sjson.member "op" req with
-                  | Some (Sjson.Str op) -> Some op
-                  | _ -> None)
-               | exception Sjson.Parse_error _ -> None
-             in
-             Server.Text
-               (Sjson.to_string
-                  (timeout_response ?op "request" cfg.request_timeout_ms))
-           end
-           else reply
-         in
-         Mutex.lock t.mu;
-         ws.served <- ws.served + 1;
-         ws.w_total_s <- ws.w_total_s +. dt;
-         if dt > ws.w_max_s then ws.w_max_s <- dt;
-         Mutex.unlock t.mu;
-         (match
-            send_reply conn ~mode:!mode reply
-              ~deadline:(now () +. req_timeout_s)
-          with
-          | `Ok -> if stop then request_stop t else serve_loop ()
-          | `Closed ->
-            (* the client vanished mid-response: typed, counted *)
-            Server.note_conn_drop t.server
-          | `Timeout ->
-            (* client stopped reading: count it as a read-side stall *)
-            Mutex.lock t.mu;
-            t.s_read_timeouts <- t.s_read_timeouts + 1;
-            Mutex.unlock t.mu))
+  let on_event = function
+    | Conn.Idle_timeout ->
+      Mutex.protect t.mu (fun () ->
+          t.s_idle_timeouts <- t.s_idle_timeouts + 1)
+    | Conn.Frame_timeout | Conn.Write_timeout ->
+      Mutex.protect t.mu (fun () ->
+          t.s_read_timeouts <- t.s_read_timeouts + 1)
+    | Conn.Dropped -> Server.note_conn_drop t.server
   in
-  serve_loop ()
+  match
+    Conn.serve ~on_event ~stopping:(fun () -> t.stopping)
+      ~request_timeout_ms:cfg.request_timeout_ms
+      ~idle_timeout_ms:cfg.idle_timeout_ms ~max_line_bytes:cfg.max_line_bytes
+      conn (handle_request t t.wstats.(i))
+  with
+  | `Stop -> request_stop t
+  | `Done -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Worker supervision *)
@@ -404,7 +208,7 @@ let worker_loop t i clean =
           Hashtbl.remove t.active i;
           t.s_in_flight <- t.s_in_flight - 1;
           Mutex.unlock t.mu;
-          try Unix.close conn with Unix.Unix_error _ -> ())
+          Conn.close conn)
         (fun () -> handle_conn t i conn);
       clean := true;
       next ()
@@ -431,8 +235,8 @@ let worker_life t i () =
       else begin
         let attempt = if !clean then 0 else attempt + 1 in
         let ms =
-          Stdlib.min t.config.backoff_cap_ms
-            (t.config.backoff_base_ms * (1 lsl Stdlib.min attempt 16))
+          Conn.backoff_ms ~base_ms:t.config.backoff_base_ms
+            ~cap_ms:t.config.backoff_cap_ms attempt
         in
         Unix.sleepf (float_of_int ms /. 1000.);
         live attempt
@@ -441,87 +245,38 @@ let worker_life t i () =
   live (-1)
 
 (* ------------------------------------------------------------------ *)
-(* Accept loop *)
+(* Admission *)
 
-let shed t conn =
-  let qlen = Mutex.protect t.mu (fun () -> Queue.length t.queue) in
-  send_response conn
-    ~deadline:(now () +. 1.0)
-    (overloaded_response qlen);
-  try Unix.close conn with Unix.Unix_error _ -> ()
+let admit t conn =
+  Mutex.lock t.mu;
+  t.s_accepted <- t.s_accepted + 1;
+  let decision =
+    if t.stopping then `Shed "server is draining"
+    else if Queue.length t.queue >= t.config.queue then begin
+      t.s_shed <- t.s_shed + 1;
+      `Shed
+        (Printf.sprintf "admission queue full (%d waiting); retry with backoff"
+           (Queue.length t.queue))
+    end
+    else begin
+      Queue.push conn t.queue;
+      if Queue.length t.queue > t.s_queue_max then
+        t.s_queue_max <- Queue.length t.queue;
+      Condition.signal t.nonempty;
+      `Admitted
+    end
+  in
+  Mutex.unlock t.mu;
+  decision
 
 let accept_loop t () =
-  let rec go () =
-    if t.stopping then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] tick with
-      | [], _, _ -> go ()
-      | _ ->
-        (match Unix.accept t.listen_fd with
-         | conn, _ ->
-           (* request/response protocol: Nagle would add 40 ms stalls *)
-           (match t.listen with
-            | Tcp _ ->
-              (try Unix.setsockopt conn Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ())
-            | Unix_path _ -> ());
-           Mutex.lock t.mu;
-           t.s_accepted <- t.s_accepted + 1;
-           let decision =
-             if t.stopping then `Draining
-             else if Queue.length t.queue >= t.config.queue then begin
-               t.s_shed <- t.s_shed + 1;
-               `Shed
-             end
-             else begin
-               Queue.push conn t.queue;
-               if Queue.length t.queue > t.s_queue_max then
-                 t.s_queue_max <- Queue.length t.queue;
-               Condition.signal t.nonempty;
-               `Queued
-             end
-           in
-           Mutex.unlock t.mu;
-           (match decision with
-            | `Queued -> ()
-            | `Shed -> shed t conn
-            | `Draining ->
-              send_response conn ~deadline:(now () +. 1.0)
-                (Server.protocol_error ~kind:"overloaded"
-                   ~message:"server is draining" ());
-              (try Unix.close conn with Unix.Unix_error _ -> ()));
-           go ()
-         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN
-                                      | Unix.EWOULDBLOCK | Unix.ECONNABORTED),
-                                      _, _) -> go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  (* restart the accept loop too if something unexpected escapes — the
-     listening socket is the one resource the server cannot lose *)
-  let rec supervise attempt =
-    match go () with
-    | () -> ()
-    | exception _ ->
-      Mutex.lock t.mu;
-      t.s_restarts <- t.s_restarts + 1;
-      let stop_now = t.stopping in
-      Mutex.unlock t.mu;
-      if not stop_now then begin
-        let ms =
-          Stdlib.min t.config.backoff_cap_ms
-            (t.config.backoff_base_ms * (1 lsl Stdlib.min attempt 16))
-        in
-        Unix.sleepf (float_of_int ms /. 1000.);
-        supervise (attempt + 1)
-      end
-  in
-  supervise 0;
-  (* close the listening socket as soon as accepting stops so new
-     connects are refused during the drain, not parked in the backlog *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.mu;
-  t.accept_done <- true;
-  Mutex.unlock t.mu
+  Conn.accept_loop
+    ~on_restart:(fun () ->
+      Mutex.protect t.mu (fun () -> t.s_restarts <- t.s_restarts + 1))
+    ~backoff_base_ms:t.config.backoff_base_ms
+    ~backoff_cap_ms:t.config.backoff_cap_ms
+    ~stopping:(fun () -> t.stopping) ~admit:(admit t) t.listen t.listen_fd;
+  Mutex.protect t.mu (fun () -> t.accept_done <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -605,13 +360,7 @@ let validate_config c =
 
 let start ?(config = default_config) server ~listen =
   validate_config config;
-  let listen_fd, bound =
-    match listen with
-    | Unix_path path -> (Server.bind_unix ~path, None)
-    | Tcp (host, port) ->
-      let fd, p = Server.bind_tcp ~host ~port in
-      (fd, Some p)
-  in
+  let listen_fd, bound = Conn.listen listen in
   let t =
     { server; config; listen; bound; listen_fd;
       mu = Mutex.create ();
@@ -659,17 +408,12 @@ let stop t =
       (fun _ fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL
         with Unix.Unix_error _ -> ())
       t.active;
-    Queue.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.queue;
+    Queue.iter Conn.close t.queue;
     Queue.clear t.queue;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mu;
     (match t.accept_runner with Some r -> join r | None -> ());
     List.iter join t.runners;
-    (match t.listen with
-     | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-     | Tcp _ -> ());
     t.stopped <- true
   end
 
@@ -680,7 +424,7 @@ let wait t =
   let rec go () =
     let stopping = Mutex.protect t.mu (fun () -> t.stopping) in
     if not stopping then begin
-      Unix.sleepf tick;
+      Unix.sleepf 0.05;
       go ()
     end
   in

@@ -1,28 +1,25 @@
 (** Supervised concurrent serving over a Unix domain socket or TCP.
 
-    {!Server.serve_unix_socket} serves one connection at a time with no
-    deadlines; this module is the production tier on top of the same
-    {!Server.handle_request} core:
+    The production tier over the {!Server.handle_request} core.  The
+    connection work — binding, the accept loop, frame reading under
+    idle and partial-frame deadlines, [hello] negotiation, typed
+    protocol replies — is {!Conn}'s; this module owns what is
+    particular to a replica:
 
-    - one accept loop owns the listening socket — a Unix domain path
-      (bound race-free via {!Server.bind_unix}) or a TCP address
-      ({!Server.bind_tcp}; [~port:0] picks an ephemeral port, reported
-      by {!bound_port}) — and feeds a {b bounded admission queue};
-    - a fixed pool of workers — OCaml 5 domains, falling back to
-      threads when the domain budget is exhausted — pops connections
-      and serves them, each evaluation wrapped in
-      {!Linalg.Parallel.with_sequential} so worker domains never race
-      on the kernel pool's submission protocol;
-    - when the queue is full the accept loop {b sheds}: the client
-      immediately receives the typed
+    - a {b bounded admission queue} fed by the accept loop; when it is
+      full the client immediately receives the typed
       [{"ok":false,"error":{"kind":"overloaded",...}}] response instead
       of waiting in an unbounded backlog;
-    - {b deadlines}: an idle connection may sit [idle_timeout_ms]
-      between frames (expiry closes it silently); once the first byte
-      of a frame arrives the rest must land within
-      [request_timeout_ms], and a request whose evaluation blows that
-      budget gets a ["timeout"] response instead of its (discarded)
-      result;
+    - a fixed pool of workers — OCaml 5 domains, falling back to
+      threads when the domain budget is exhausted — that pop
+      connections and serve them, each evaluation wrapped in
+      {!Linalg.Parallel.with_sequential} so worker domains never race
+      on the kernel pool's submission protocol;
+    - {b deadlines}: connections follow {!Conn.serve}'s rules
+      ([idle_timeout_ms] between frames, [request_timeout_ms] for the
+      rest of a started frame), and a request whose evaluation blows
+      [request_timeout_ms] gets a ["timeout"] response instead of its
+      (discarded) result;
     - a worker whose handler raises is {b restarted} with exponential
       backoff ([backoff_base_ms] doubling up to [backoff_cap_ms],
       reset after a cleanly-finished connection);
@@ -51,17 +48,16 @@
     force-closes them — an in-flight [fit-finalize] either lands a
     complete artifact or leaves none (the artifact write is atomic).
 
-    {b Frame negotiation}: every connection starts in JSON-lines mode;
-    a [{"op":"hello","frames":"binary"}] request is intercepted here
-    (it never reaches the server), acknowledged in the old framing, and
-    switches the connection to length-prefixed binary frames — see
-    {!Frame}.  Under binary framing a successful [eval-grid] response
+    {b Frame negotiation} ({!Conn.serve}): a
+    [{"op":"hello","frames":"binary"}] request never reaches the
+    server; under binary framing a successful [eval-grid] response
     carries its matrices as raw IEEE-754 instead of JSON text.
 
     Fault sites (see {!Linalg.Fault}) exercised by the chaos suite:
-    ["serve.slow_client"] forces the partial-frame deadline,
-    ["serve.stall"] makes a request overshoot its deadline,
-    ["serve.conn_drop"] kills a worker mid-connection (restart path).
+    ["serve.slow_client"] forces the partial-frame deadline (in
+    {!Conn.read_frame}), ["serve.stall"] makes a request overshoot its
+    deadline, ["serve.conn_drop"] kills a worker mid-connection
+    (restart path).
 
     Statistics are published through the ordinary ["stats"] op: {!start}
     registers a {!Server.set_stats_hook} adding a ["supervisor"] object
@@ -110,16 +106,12 @@ type snapshot = {
   per_worker : worker_snapshot array;
 }
 
-(** Where to listen: a Unix domain socket path, or a TCP host/port
-    (host resolved by {!Server.bind_tcp}; port [0] = ephemeral). *)
-type listener = Unix_path of string | Tcp of string * int
-
-(** [start server ~listen] binds the listener (race-free, typed error
-    if the address is taken), spawns the accept loop and workers,
+(** [start server ~listen] binds the listener ({!Conn.listen}: typed
+    error if the address is taken), spawns the accept loop and workers,
     registers the stats hook, and returns immediately.  Raises
     {!Linalg.Mfti_error.Error} ([Validation]) on a nonsensical
     [config]. *)
-val start : ?config:config -> Server.t -> listen:listener -> t
+val start : ?config:config -> Server.t -> listen:Conn.addr -> t
 
 (** The actual TCP port bound, once started ([None] for a Unix
     listener).  Useful with [Tcp (host, 0)]. *)
@@ -137,4 +129,4 @@ val wait : t -> unit
 val stop : t -> unit
 
 (** [run server ~listen] is {!start}, {!wait}, then {!stop}. *)
-val run : ?config:config -> Server.t -> listen:listener -> unit
+val run : ?config:config -> Server.t -> listen:Conn.addr -> unit

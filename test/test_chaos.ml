@@ -59,7 +59,7 @@ let with_supervisor ?(config = test_config) f =
     Filename.concat (fresh_dir ())
       (Printf.sprintf "s%d.sock" (Unix.getpid ()))
   in
-  let sup = Supervisor.start ~config srv ~listen:(Supervisor.Unix_path path) in
+  let sup = Supervisor.start ~config srv ~listen:(Conn.Unix_path path) in
   Fun.protect
     ~finally:(fun () ->
       Fault.set_spec None;

@@ -270,6 +270,19 @@ let test_diagnostics_reported () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "diagnostics on stderr" "diagnostics:" text
 
+let test_fit_stream_no_listener () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_nobody.sock"
+  in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let code, text =
+    run (Printf.sprintf "fit-stream %s --socket %s" workload sock)
+  in
+  if code = 0 then Alcotest.fail "fit-stream exited 0 with no listener";
+  check_contains "typed diagnostic"
+    (Printf.sprintf "gave up connecting to %s after 5 attempts" sock)
+    text
+
 let () =
   Alcotest.run "cli"
     [ ("mfti_cli",
@@ -294,4 +307,6 @@ let () =
          Alcotest.test_case "engine strategy mismatch" `Quick
            test_engine_strategy_mismatch;
          Alcotest.test_case "diagnostics reported" `Quick
-           test_diagnostics_reported ]) ]
+           test_diagnostics_reported;
+         Alcotest.test_case "fit-stream without a listener" `Quick
+           test_fit_stream_no_listener ]) ]

@@ -60,7 +60,7 @@ type fleet = {
 }
 
 (* a root with [models], [n] replica supervisors over it, one router *)
-let with_fleet ?(config = router_config) ~n ~models f =
+let with_fleet ?(sup = sup_config) ?(config = router_config) ~n ~models f =
   let root = fresh_dir () in
   List.iter (save_model root) models;
   let sock_dir = fresh_dir () in
@@ -72,13 +72,12 @@ let with_fleet ?(config = router_config) ~n ~models f =
       (List.map
          (fun path ->
            let srv = Server.create ~root () in
-           Supervisor.start ~config:sup_config srv
-             ~listen:(Supervisor.Unix_path path))
+           Supervisor.start ~config:sup srv ~listen:(Conn.Unix_path path))
          replica_paths)
   in
   let router_path = Filename.concat sock_dir "router.sock" in
   let router =
-    Router.start ~config ~listen:(Supervisor.Unix_path router_path)
+    Router.start ~config ~listen:(Conn.Unix_path router_path)
       ~replicas:replica_paths ()
   in
   Fun.protect
@@ -98,13 +97,14 @@ let connect path =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let send_line fd s =
-  let s = s ^ "\n" in
+let send_raw fd s =
   let n = String.length s in
   let off = ref 0 in
   while !off < n do
     off := !off + Unix.write_substring fd s !off (n - !off)
   done
+
+let send_line fd s = send_raw fd (s ^ "\n")
 
 let recv_line ?(timeout = 10.0) fd =
   let deadline = Unix.gettimeofday () +. timeout in
@@ -314,16 +314,16 @@ let test_health_step () =
     (step Draining 0 Ok = (Up, 0))
 
 let test_parse_addr () =
-  (match Router.parse_addr "/tmp/x.sock" with
-   | Supervisor.Unix_path "/tmp/x.sock" -> ()
+  (match Conn.parse_addr "/tmp/x.sock" with
+   | Conn.Unix_path "/tmp/x.sock" -> ()
    | _ -> Alcotest.fail "path not parsed as unix socket");
-  (match Router.parse_addr "127.0.0.1:7070" with
-   | Supervisor.Tcp ("127.0.0.1", 7070) -> ()
+  (match Conn.parse_addr "127.0.0.1:7070" with
+   | Conn.Tcp ("127.0.0.1", 7070) -> ()
    | _ -> Alcotest.fail "host:port not parsed as tcp");
-  (match Router.parse_addr "localhost:0" with
-   | Supervisor.Tcp ("localhost", 0) -> ()
+  (match Conn.parse_addr "localhost:0" with
+   | Conn.Tcp ("localhost", 0) -> ()
    | _ -> Alcotest.fail "port 0 not accepted");
-  (match Router.parse_addr "host:notaport" with
+  (match Conn.parse_addr "host:notaport" with
    | _ -> Alcotest.fail "bad port accepted"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ())
 
@@ -594,7 +594,7 @@ let test_register_replica () =
   let path = Filename.concat (fresh_dir ()) "r-late.sock" in
   let srv = Server.create ~root:fleet.root () in
   let sup =
-    Supervisor.start ~config:sup_config srv ~listen:(Supervisor.Unix_path path)
+    Supervisor.start ~config:sup_config srv ~listen:(Conn.Unix_path path)
   in
   Fun.protect
     ~finally:(fun () -> try Supervisor.stop sup with _ -> ())
@@ -626,6 +626,198 @@ let test_register_replica () =
         (expect_ok "post-register" (ask fleet.router_path (grid_req "alpha"))))
 
 (* ------------------------------------------------------------------ *)
+(* End-to-end: a pooled upstream connection the replica closed while
+   idle is discarded, not counted as a replica failure *)
+
+let test_stale_pooled_connection () =
+  let sup = { sup_config with idle_timeout_ms = 200 } in
+  (* probes parked: only the request path may touch the replica state *)
+  let config = { router_config with probe_interval_ms = 60_000 } in
+  with_fleet ~sup ~config ~n:2 ~models:[ "alpha" ] @@ fun fleet ->
+  let req = grid_req "alpha" in
+  ignore (expect_ok "first request" (ask fleet.router_path req));
+  (* every pooled connection outlives the replica's idle timeout *)
+  Unix.sleepf 0.6;
+  ignore (expect_ok "request after idle" (ask fleet.router_path req));
+  let s = Router.stats fleet.router in
+  Alcotest.(check int) "no failover" 0 s.Router.rt_failovers;
+  List.iter
+    (fun path ->
+      let r = replica_state fleet path in
+      Alcotest.(check int) (path ^ " errors") 0 r.Router.rp_errors;
+      Alcotest.(check string) (path ^ " state") "up"
+        (Router.Health.to_string r.Router.rp_state))
+    fleet.replica_paths
+
+(* ------------------------------------------------------------------ *)
+(* Front door: the same connection checks against a supervisor and a
+   router listener *)
+
+let front_request_ms = 1_000
+let front_cap = 64 * 1024
+
+type front = {
+  path : string;
+  (* open connections until the next one is past capacity *)
+  fill : unit -> Unix.file_descr list;
+}
+
+(* a quiescent-then-step wait: [ready] must hold before each step *)
+let open_when ready path =
+  wait_for "front door ready" ready;
+  connect path
+
+let with_supervisor_front f =
+  let root = fresh_dir () in
+  save_model root "alpha";
+  let path = Filename.concat (fresh_dir ()) "front.sock" in
+  let config =
+    { sup_config with
+      workers = 1; queue = 1; request_timeout_ms = front_request_ms;
+      max_line_bytes = front_cap }
+  in
+  let sup =
+    Supervisor.start ~config (Server.create ~root ())
+      ~listen:(Conn.Unix_path path)
+  in
+  let fill () =
+    let st () = Supervisor.stats sup in
+    let a =
+      open_when
+        (fun () -> (st ()).Supervisor.in_flight = 0
+                   && (st ()).Supervisor.queue_depth = 0)
+        path
+    in
+    let b = open_when (fun () -> (st ()).Supervisor.in_flight = 1) path in
+    wait_for "queued" (fun () -> (st ()).Supervisor.queue_depth = 1);
+    [ a; b ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Supervisor.stop sup)
+    (fun () -> f { path; fill })
+
+let with_router_front f =
+  let config =
+    { router_config with
+      max_conns = 1; request_timeout_ms = front_request_ms;
+      max_line_bytes = front_cap }
+  in
+  with_fleet ~config ~n:1 ~models:[ "alpha" ] @@ fun fleet ->
+  let conns () = (Router.stats fleet.router).Router.rt_conns in
+  let fill () =
+    let a = open_when (fun () -> conns () = 0) fleet.router_path in
+    wait_for "admitted" (fun () -> conns () = 1);
+    [ a ]
+  in
+  f { path = fleet.router_path; fill }
+
+let with_conn path f =
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> close_quiet fd) (fun () -> f fd)
+
+let recv_frame fd r ~mode =
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Frame.Reader.next r ~mode ~max_bytes:(1 lsl 24) with
+    | `Frame p -> p
+    | `Too_long | `Bad _ -> Alcotest.fail "client reader: bad frame"
+    | `None ->
+      (match Unix.select [ fd ] [] [] 10.0 with
+       | [], _, _ -> Alcotest.fail "no frame within deadline"
+       | _ ->
+         (match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Alcotest.fail "connection closed mid-frame"
+          | k ->
+            Frame.Reader.add r chunk k;
+            go ()))
+  in
+  go ()
+
+let ping = "{\"op\": \"ping\"}"
+
+let front_blank_line front =
+  with_conn front.path @@ fun fd ->
+  send_raw fd ("\n\r\n\n" ^ ping ^ "\n");
+  ignore (expect_ok "ping after blank lines" (recv_line fd))
+
+let front_bad_hello front =
+  with_conn front.path @@ fun fd ->
+  send_line fd "{\"op\": \"hello\", \"frames\": \"morse\"}";
+  ignore (expect_kind "unknown frames" "validation" (recv_line fd));
+  send_line fd ping;
+  ignore (expect_ok "still JSON lines" (recv_line fd))
+
+let front_binary front =
+  with_conn front.path @@ fun fd ->
+  let r = Frame.Reader.create () in
+  send_line fd "{\"op\": \"hello\", \"frames\": \"binary\"}";
+  (match recv_frame fd r ~mode:Frame.Json with
+   | Frame.Json_text ack ->
+     Alcotest.(check string) "ack" (Frame.hello_ack "binary") ack
+   | Frame.Grid_body _ -> Alcotest.fail "grid frame as hello ack");
+  send_raw fd (Frame.encode_json (grid_req "alpha"));
+  (match recv_frame fd r ~mode:Frame.Binary with
+   | Frame.Grid_body body ->
+     let _, grid = Frame.decode_grid_body body in
+     Alcotest.(check int) "three points" 3 (Array.length grid)
+   | Frame.Json_text l -> Alcotest.failf "expected a grid frame, got %s" l);
+  send_raw fd (Frame.encode_json ping);
+  (match recv_frame fd r ~mode:Frame.Binary with
+   | Frame.Json_text l -> ignore (expect_ok "binary ping" l)
+   | Frame.Grid_body _ -> Alcotest.fail "grid frame for ping")
+
+let front_over_cap front =
+  with_conn front.path @@ fun fd ->
+  send_line fd
+    (Printf.sprintf "{\"op\": \"ping\", \"pad\": %S}"
+       (String.make front_cap 'x'));
+  ignore (expect_kind "over-cap frame" "validation" (recv_line fd))
+
+let front_stalled_partial front =
+  with_conn front.path @@ fun fd ->
+  let t0 = Unix.gettimeofday () in
+  send_raw fd "{\"op\": \"pi";
+  ignore (expect_kind "stalled frame" "timeout" (recv_line fd));
+  let dt = Unix.gettimeofday () -. t0 in
+  (* well inside the 10 s idle window the parent router applied *)
+  if dt > 3.0 then
+    Alcotest.failf "partial frame timed out after %.2f s (request \
+                    deadline %d ms)" dt front_request_ms
+
+let front_trailing_line front =
+  with_conn front.path @@ fun fd ->
+  send_raw fd ping;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  ignore (expect_ok "unterminated line at EOF" (recv_line fd))
+
+let front_overloaded front =
+  let held = front.fill () in
+  Fun.protect
+    ~finally:(fun () -> List.iter close_quiet held)
+    (fun () ->
+      with_conn front.path @@ fun fd ->
+      ignore (expect_kind "past capacity" "overloaded" (recv_line fd)))
+
+let front_cases =
+  [ ("blank keep-alive line ignored", front_blank_line);
+    ("unknown hello frames refused", front_bad_hello);
+    ("hello binary then binary request", front_binary);
+    ("over-cap frame refused", front_over_cap);
+    ("stalled partial frame times out", front_stalled_partial);
+    ("trailing line at EOF served", front_trailing_line);
+    ("past capacity shed overloaded", front_overloaded) ]
+
+let front_door_tests =
+  List.concat_map
+    (fun (system, with_front) ->
+      List.map
+        (fun (name, check) ->
+          Alcotest.test_case (system ^ ": " ^ name) `Quick (fun () ->
+              with_front check))
+        front_cases)
+    [ ("supervisor", with_supervisor_front); ("router", with_router_front) ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "router"
@@ -654,9 +846,12 @@ let () =
           Alcotest.test_case "flap x3: no double execution" `Quick
             test_rejoin_flap_no_double_execution;
           Alcotest.test_case "slow replica: typed timeout, no failover"
-            `Quick test_slow_replica_typed_timeout ] );
+            `Quick test_slow_replica_typed_timeout;
+          Alcotest.test_case "stale pooled connection: no failover"
+            `Quick test_stale_pooled_connection ] );
       ( "coalescing",
         [ Alcotest.test_case "identical requests byte-identical" `Quick
             test_coalescing_byte_identical;
           Alcotest.test_case "mixed grids demux correctly" `Quick
-            test_coalescing_demux_subsets ] ) ]
+            test_coalescing_demux_subsets ] );
+      ("front door", front_door_tests) ]

@@ -675,30 +675,31 @@ let test_server_startup_recovery () =
     (j_num "quarantined" j)
 
 (* ------------------------------------------------------------------ *)
-(* Socket-path race (satellite: bind_unix ownership semantics) *)
+(* Socket-path race: [Conn.listen] ownership semantics *)
 
 let test_bind_unix_race () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "sock" in
-  let fd = Server.bind_unix ~path in
+  let addr = Conn.Unix_path path in
+  let fd, _ = Conn.listen addr in
   (* a live socket must be refused with a typed error, not unlinked *)
-  (match Server.bind_unix ~path with
+  (match Conn.listen addr with
    | _ -> Alcotest.fail "second bind on a live socket succeeded"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ());
   Alcotest.(check bool) "live socket not deleted" true (Sys.file_exists path);
-  Server.release_unix ~path fd;
+  Conn.close_listener addr fd;
   Alcotest.(check bool) "release removes the path" false
     (Sys.file_exists path);
   (* a stale file from a dead process is cleaned up and rebound *)
-  let fd2 = Server.bind_unix ~path in
-  Server.release_unix ~path fd2;
+  let fd2, _ = Conn.listen addr in
+  Conn.close_listener addr fd2;
   (* a non-socket at the path is never deleted *)
   let oc = open_out path in
   output_string oc "not a socket";
   close_out oc;
-  (match Server.bind_unix ~path with
-   | fd3 ->
-     Server.release_unix ~path fd3;
+  (match Conn.listen addr with
+   | fd3, _ ->
+     Conn.close_listener addr fd3;
      Alcotest.fail "bound over a regular file"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ());
   Alcotest.(check bool) "regular file preserved" true (Sys.file_exists path)
@@ -1184,7 +1185,7 @@ let with_transport listen f =
     (fun () -> f sup)
 
 let test_supervisor_tcp () =
-  with_transport (Supervisor.Tcp ("127.0.0.1", 0)) @@ fun sup ->
+  with_transport (Conn.Tcp ("127.0.0.1", 0)) @@ fun sup ->
   let port =
     match Supervisor.bound_port sup with
     | Some p -> p
@@ -1216,7 +1217,7 @@ let test_supervisor_tcp () =
 let test_supervisor_binary_negotiation () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "b.sock" in
-  with_transport (Supervisor.Unix_path path) @@ fun _sup ->
+  with_transport (Conn.Unix_path path) @@ fun _sup ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1289,7 +1290,7 @@ let test_supervisor_binary_negotiation () =
 let test_supervisor_conn_drop_typed () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "d.sock" in
-  with_transport (Supervisor.Unix_path path) @@ fun _sup ->
+  with_transport (Conn.Unix_path path) @@ fun _sup ->
   (* request a grid big enough to guarantee chunked writes (> 64 KiB),
      then slam the connection before reading: the server's write hits
      EPIPE/ECONNRESET mid-stream and must record a typed conn drop *)
