@@ -3,14 +3,22 @@
 
    The dense MNA path is cubic in the state count and simply absent at
    this size (320x320 plane = 102k states); every arm below runs
-   through lib/linalg/sparse.  The
-   krylov_reduce arm is the headline: a full tangential rational Krylov
-   pre-reduction of the grid to a few hundred states, and krylov_mfti
-   carries it end-to-end through the staged MFTI engine.
+   through lib/linalg/sparse.  The krylov_mfti arm is the headline: a
+   full tangential rational Krylov pre-reduction of the grid to a few
+   hundred states carried end-to-end through the staged MFTI engine.
+   The reduction runs once; krylov_reduce is its share, the sum of the
+   reduction's own stage timings.
 
-   --smoke shrinks the grid to 24x24 and additionally validates the
-   committed BENCH_sparse.json: it must parse, describe a >= 100k-node
-   grid, and carry assemble / factor / krylov_reduce arms. *)
+   The rl arm reduces a 40x40 RL plane (4724 states): every plane
+   segment carries a branch current whose diagonal R + jwL is nearly
+   zero at low frequency, which is where sparse LU pivoting can throw
+   the AMD order away.  It records the reduce time, the factorization
+   count and the LU fill over the pencil's nnz at f_lo and f_hi.
+
+   --smoke shrinks the grids to 24x24 and 12x12 and additionally
+   validates the committed BENCH_sparse.json: it must parse, describe a
+   >= 100k-node grid, carry assemble / factor / krylov_reduce arms, and
+   an rl arm with fill at f_lo <= 10x and a reduction under 5 s. *)
 
 module Json = Bjson
 
@@ -25,6 +33,86 @@ let spec ~side =
        regime the 100k acceptance targets *)
     plane_rl = false;
     seed = 7 }
+
+(* what `mfti gen pdn --grid 40x40 --ports 4` writes *)
+let rl_spec ~side =
+  { Rf.Pdn.default_spec with
+    nx = side; ny = side; ports = 4; decaps = 2; plane_rl = true }
+
+let koptions ~smoke =
+  let f_lo, f_hi = band in
+  { Mfti.Krylov.default_options with
+    f_lo; f_hi;
+    shifts = (if smoke then 4 else 8);
+    max_order = (if smoke then 96 else 240);
+    tol = 1e-8; z0 = Some 50. }
+
+let ok = function
+  | Ok r -> r
+  | Error e -> failwith (Linalg.Mfti_error.to_string e)
+
+let shifted c g f =
+  Sparse.Scsr.scale_add
+    ~alpha:(Linalg.Cx.jw (2. *. Float.pi *. f)) c ~beta:Linalg.Cx.one g
+
+(* LU fill over the pencil's nnz *)
+let fill_ratio fac pencil =
+  float_of_int (Sparse.Slu.fill fac) /. float_of_int (Sparse.Scsr.nnz pencil)
+
+let fill_at ~perm c g f =
+  let pencil = shifted c g f in
+  fill_ratio (ok (Sparse.Slu.factorize ~perm pencil)) pencil
+
+let krylov_json (kr : Mfti.Krylov.reduction) =
+  let h = kr.Mfti.Krylov.history in
+  let holdout_err =
+    if Array.length h > 0 then h.(Array.length h - 1) else Float.nan
+  in
+  ( holdout_err,
+    [ ("order", Json.Num (float_of_int kr.Mfti.Krylov.order));
+      ( "shifts",
+        Json.Num (float_of_int (Array.length kr.Mfti.Krylov.shift_freqs)) );
+      ( "factorizations",
+        Json.Num (float_of_int kr.Mfti.Krylov.factorizations) );
+      ("max_fill", Json.Num kr.Mfti.Krylov.max_fill);
+      ("holdout_err", Json.Num holdout_err);
+      ( "timings",
+        Json.Obj
+          (List.map (fun (k, t) -> (k, Json.Num t)) kr.Mfti.Krylov.timings) )
+    ] )
+
+(* The RL-plane arm: one Krylov reduction plus the fill at the band
+   edges under the sweep's shared AMD order. *)
+let rl_arm ~smoke =
+  let side = if smoke then 12 else 40 in
+  let f_lo, f_hi = band in
+  let circuit = Rf.Pdn.build (rl_spec ~side) in
+  let g, c, b, l = Rf.Mna.sparse_system circuit in
+  let states = Rf.Mna.num_states circuit in
+  let perm =
+    Sparse.Ordering.amd
+      (Sparse.Scsr.scale_add ~alpha:Linalg.Cx.one c ~beta:Linalg.Cx.one g)
+  in
+  let fill_lo = fill_at ~perm c g f_lo and fill_hi = fill_at ~perm c g f_hi in
+  let sys = { Mfti.Krylov.g; c; b; l } in
+  let kr, reduce_s =
+    Util.time_it (fun () ->
+        ok (Mfti.Krylov.reduce ~options:(koptions ~smoke) sys))
+  in
+  Printf.printf
+    "rl %dx%d: %d states, fill %.2fx at f_lo, %.2fx at f_hi; reduce %.3f s, \
+     order %d, %d factorizations\n%!"
+    side side states fill_lo fill_hi reduce_s kr.Mfti.Krylov.order
+    kr.Mfti.Krylov.factorizations;
+  let _, fields = krylov_json kr in
+  Json.Obj
+    ([ ("grid", Json.Str (Printf.sprintf "%dx%d" side side));
+       ("nodes", Json.Num (float_of_int (Rf.Mna.num_nodes circuit)));
+       ("states", Json.Num (float_of_int states));
+       ("reduce_s", Json.Num reduce_s);
+       ("fill_lo", Json.Num fill_lo);
+       ("fill_hi", Json.Num fill_hi) ]
+     @ fields)
 
 let run ?(smoke = false) () =
   Util.heading "Sparse pipeline: 100k-node plane grid";
@@ -43,42 +131,21 @@ let run ?(smoke = false) () =
   let perm, ordering_s =
     Util.time_it (fun () -> Sparse.Ordering.amd pattern)
   in
-  let f_mid = sqrt (f_lo *. f_hi) in
-  let pencil =
-    Sparse.Scsr.scale_add
-      ~alpha:(Linalg.Cx.jw (2. *. Float.pi *. f_mid)) c ~beta:Linalg.Cx.one g
-  in
+  let pencil = shifted c g (sqrt (f_lo *. f_hi)) in
   let fac, factor_s =
-    Util.time_it (fun () ->
-        match Sparse.Slu.factorize ~perm pencil with
-        | Ok f -> f
-        | Error e -> failwith (Linalg.Mfti_error.to_string e))
+    Util.time_it (fun () -> ok (Sparse.Slu.factorize ~perm pencil))
   in
   let _, solve_s = Util.time_it (fun () -> Sparse.Slu.solve fac b) in
-  let koptions =
-    { Mfti.Krylov.default_options with
-      f_lo; f_hi;
-      shifts = (if smoke then 4 else 8);
-      max_order = (if smoke then 96 else 240);
-      tol = 1e-8; z0 = Some 50. }
-  in
   let sys = { Mfti.Krylov.g; c; b; l } in
-  let kr, reduce_s =
+  let (model, kr), mfti_s =
     Util.time_it (fun () ->
-        match Mfti.Krylov.reduce ~options:koptions sys with
-        | Ok kr -> kr
-        | Error e -> failwith (Linalg.Mfti_error.to_string e))
+        ok (Mfti.Krylov.fit_mfti ~options:(koptions ~smoke) sys))
   in
-  let (model, _), mfti_s =
-    Util.time_it (fun () ->
-        match Mfti.Krylov.fit_mfti ~options:koptions sys with
-        | Ok r -> r
-        | Error e -> failwith (Linalg.Mfti_error.to_string e))
+  let reduce_s =
+    List.fold_left (fun a (_, t) -> a +. t) 0. kr.Mfti.Krylov.timings
   in
-  let holdout_err =
-    let h = kr.Mfti.Krylov.history in
-    if Array.length h > 0 then h.(Array.length h - 1) else Float.nan
-  in
+  let holdout_err, krylov_fields = krylov_json kr in
+  let rl = rl_arm ~smoke in
   let arms =
     [ ("assemble", assemble_s +. system_s);
       ("ordering", ordering_s);
@@ -108,17 +175,14 @@ let run ?(smoke = false) () =
           ("ports", Json.Num (float_of_int sp.Rf.Pdn.ports));
           ("f_lo", Json.Num f_lo);
           ("f_hi", Json.Num f_hi);
+          ("factor_fill", Json.Num (fill_ratio fac pencil));
           ( "krylov",
             Json.Obj
-              [ ("order", Json.Num (float_of_int kr.Mfti.Krylov.order));
-                ( "shifts",
-                  Json.Num
-                    (float_of_int (Array.length kr.Mfti.Krylov.shift_freqs)) );
-                ( "factorizations",
-                  Json.Num (float_of_int kr.Mfti.Krylov.factorizations) );
-                ("holdout_err", Json.Num holdout_err);
-                ( "final_order",
-                  Json.Num (float_of_int (Mfti.Engine.Model.rank model)) ) ] );
+              (krylov_fields
+               @ [ ( "final_order",
+                     Json.Num (float_of_int (Mfti.Engine.Model.rank model)) )
+                 ]) );
+          ("rl", rl);
           ( "results",
             Json.Arr
               (List.map
@@ -147,7 +211,7 @@ let run ?(smoke = false) () =
       (fun field ->
         if Json.member field parsed = None then
           failwith ("sparse bench: JSON missing " ^ field))
-      [ "schema"; "cpus"; "grid"; "nodes"; "krylov"; "results" ];
+      [ "schema"; "cpus"; "grid"; "nodes"; "krylov"; "rl"; "results" ];
     Printf.printf "smoke: JSON parses, header well-formed\n%!";
     (* the committed full report must describe the 100k-node acceptance
        run with every pipeline arm present and positive *)
@@ -201,5 +265,26 @@ let run ?(smoke = false) () =
               "sparse bench: committed krylov hold-out error missing or \
                above 1e-3")
        | None -> failwith "sparse bench: committed report missing krylov");
+      (* the RL plane must keep its AMD order at the low band edge and
+         reduce in seconds *)
+      (match Json.member "rl" parsed with
+       | Some rl ->
+         let num field =
+           match Json.member field rl with
+           | Some (Json.Num x) -> x
+           | _ ->
+             failwith ("sparse bench: committed rl arm missing " ^ field)
+         in
+         if not (num "fill_lo" <= 10.) then
+           failwith
+             (Printf.sprintf
+                "sparse bench: committed rl fill at f_lo %.1fx exceeds 10x"
+                (num "fill_lo"));
+         if not (num "reduce_s" < 5.) then
+           failwith
+             (Printf.sprintf
+                "sparse bench: committed rl reduction took %.2f s (>= 5 s)"
+                (num "reduce_s"))
+       | None -> failwith "sparse bench: committed report missing rl arm");
       Printf.printf "smoke: committed BENCH_sparse.json validates\n%!"
   end

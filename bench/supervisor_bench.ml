@@ -150,11 +150,15 @@ let run ?(smoke = false) () =
     (* open every connection before reading any response: the queue
        (capacity 1) fills instantly and the surplus is shed at accept
        time — reading first would serialize the connects and never
-       overload the server *)
+       overload the server.  A connection shed before its request goes
+       out is already closed, so the write may fail with EPIPE or
+       ECONNRESET; it still counts through the supervisor's shed stat,
+       exactly as recv_line treats a reset read. *)
     let fds =
       List.init blast (fun _ ->
           let fd = connect path in
-          send_raw fd req;
+          (try send_raw fd req
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
           fd)
     in
     let overloaded = ref 0 in

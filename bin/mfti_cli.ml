@@ -433,10 +433,11 @@ let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~svd_backend
   List.iter
     (fun (stage, dt) -> Printf.printf "krylov %-9s %9.4f s\n" stage dt)
     kr.Krylov.timings;
-  Printf.printf "krylov: order %d from %d shifts, %d factorizations\n"
+  Printf.printf
+    "krylov: order %d from %d shifts, %d factorizations, max fill %.2fx\n"
     kr.Krylov.order
     (Array.length kr.Krylov.shift_freqs)
-    kr.Krylov.factorizations;
+    kr.Krylov.factorizations kr.Krylov.max_fill;
   Array.iteri
     (fun i e -> Printf.printf "round %d: hold-out err %.3e\n" (i + 1) e)
     kr.Krylov.history;

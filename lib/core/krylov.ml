@@ -50,6 +50,7 @@ type reduction = {
   shift_freqs : float array;
   history : float array;
   factorizations : int;
+  max_fill : float;
   timings : (string * float) list;
 }
 
@@ -241,6 +242,7 @@ let reduce ?(options = default_options) sys =
       r
     in
     let factorizations = ref 0 in
+    let max_fill = ref 0. in
     (* One AMD ordering for the whole sweep: scale_add keeps the union
        pattern stable across (alpha, beta), so the permutation computed
        on C + G is valid for every shifted pencil. *)
@@ -257,7 +259,11 @@ let reduce ?(options = default_options) sys =
       | Error _ as e -> e
       | Ok fac ->
         incr factorizations;
-        Ok (timed "factor" (fun () -> Sparse.Slu.solve fac sys.b))
+        max_fill :=
+          Float.max !max_fill
+            (float_of_int (Sparse.Slu.fill fac)
+             /. float_of_int (Sparse.Scsr.nnz pencil));
+        Ok (timed "solve" (fun () -> Sparse.Slu.solve fac sys.b))
     in
     (* Exact transfer samples, cached: shifts get theirs free from the
        basis solve, hold-out probes pay one factorization each, once. *)
@@ -454,7 +460,7 @@ let reduce ?(options = default_options) sys =
            List.filter_map
              (fun key ->
                Option.map (fun t -> (key, t)) (Hashtbl.find_opt timings key))
-             [ "ordering"; "factor"; "basis"; "project"; "evaluate" ]
+             [ "ordering"; "factor"; "solve"; "basis"; "project"; "evaluate" ]
          in
          let model =
            Engine.Model.make ~timings ~rank:(order ()) descriptor
@@ -465,6 +471,7 @@ let reduce ?(options = default_options) sys =
              shift_freqs = Array.of_list (List.rev !shift_log);
              history = Array.of_list (List.rev !history);
              factorizations = !factorizations;
+             max_fill = !max_fill;
              timings }
        end)
 

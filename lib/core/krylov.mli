@@ -74,8 +74,10 @@ type reduction = {
   history : float array;     (** max relative hold-out error after
                                  each round *)
   factorizations : int;      (** sparse LU factorizations performed *)
+  max_fill : float;          (** largest {!Sparse.Slu.fill} over the
+                                 shifted pencil's nnz in the sweep *)
   timings : (string * float) list;
-      (** ["ordering"], ["factor"], ["basis"], ["project"],
+      (** ["ordering"], ["factor"], ["solve"], ["basis"], ["project"],
           ["evaluate"] wall times in seconds *)
 }
 

@@ -1,5 +1,6 @@
-(* Left-looking sparse LU with partial pivoting (Gilbert-Peierls; the
-   organization follows CSparse's cs_lu).
+(* Left-looking sparse LU with threshold partial pivoting
+   (Gilbert-Peierls; the organization and the pivot rule follow
+   CSparse's cs_lu).
 
    L is built column by column with *original* row indices and a unit
    diagonal stored explicitly as each column's first entry; pinv maps a
@@ -16,6 +17,17 @@
 open Linalg
 
 exception Singular of int
+
+(* Threshold pivoting with diagonal preference: step k keeps the
+   ordered diagonal row k when it is not yet pivotal and
+   |x_k| >= pivot_tol * max |x_i| over the non-pivotal rows; otherwise
+   it takes the largest modulus.  1e-3 is UMFPACK's default symmetric
+   pivot tolerance; 1 would be strict partial pivoting.  Larger values
+   let the near-zero branch-current diagonals of RL pencils at low
+   frequency swap rows out of the fill-reducing order (0.1 still
+   fills a 20x20 RL plane 54x at 1 MHz, against 3x here). *)
+let pivot_tol = 1e-3
+let pivot_tol2 = pivot_tol *. pivot_tol
 
 (* growable parallel arrays for the factors *)
 type growbuf = {
@@ -138,7 +150,8 @@ let factorize_core n acolptr arowind are aim =
           done
       end
     done;
-    (* --- pivot: largest modulus among non-pivotal rows --- *)
+    (* --- pivot: largest modulus among non-pivotal rows, unless the
+       diagonal clears the threshold (squared moduli throughout) --- *)
     let ipiv = ref (-1) and best = ref 0. in
     for p = !top to n - 1 do
       let i = xi.(p) in
@@ -154,7 +167,12 @@ let factorize_core n acolptr arowind are aim =
         growbuf_push u pinv.(i) xre.(i) xim.(i)
     done;
     if !ipiv < 0 || !best = 0. then raise (Singular k);
-    let ipiv = !ipiv in
+    let ipiv =
+      if pinv.(k) < 0
+         && (xre.(k) *. xre.(k)) +. (xim.(k) *. xim.(k)) >= pivot_tol2 *. !best
+      then k
+      else !ipiv
+    in
     pinv.(ipiv) <- k;
     (* pivot onto U's diagonal *)
     growbuf_push u k xre.(ipiv) xim.(ipiv);

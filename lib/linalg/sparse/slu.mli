@@ -1,10 +1,21 @@
-(** Sparse LU with partial pivoting and fill-reducing ordering.
+(** Sparse LU with threshold partial pivoting and fill-reducing
+    ordering.
 
     A left-looking Gilbert–Peierls factorization of a square complex
     CSR matrix.  A symmetric fill-reducing permutation is applied
-    first — approximate minimum degree by default — and partial
-    pivoting by largest modulus keeps the numerics safe under any
-    ordering.
+    first — approximate minimum degree by default.  Pivoting is the
+    threshold rule with diagonal preference of CSparse's [cs_lu] and
+    UMFPACK's symmetric strategy: step [k] keeps the ordered diagonal
+    row [k] when it is not yet pivotal and
+    [|x_k| >= 1e-3 * max |x_i|] over the non-pivotal rows, and
+    otherwise takes the largest modulus (a zero diagonal always falls
+    through).  The tolerance is UMFPACK's default and fixed; a
+    tolerance of 1 would be strict partial pivoting, which on RL
+    pencils at low frequency swaps the near-zero branch-current rows
+    out of the AMD order: the 20x20 RL plane (1164 states) filled 51x
+    its nnz at 1e5 Hz under it, against 2.9x under the threshold rule,
+    and the 40x40 plane (4724 states) factors in 0.02 s at 3.6x
+    instead of 12–14 s at 282x.
 
     Failures are typed through {!Linalg.Mfti_error}: a zero pivot (or
     the armed ["sparse.singular_pivot"] fault site) is

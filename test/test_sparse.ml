@@ -182,6 +182,99 @@ let test_lu_fill_reported () =
   let f = factorize_ok sp in
   Alcotest.(check bool) "fill >= nnz" true (Slu.fill f >= Scsr.nnz sp)
 
+let test_lu_zero_diagonal_saddle () =
+  (* [[0, B^T]; [B, A]]: the leading diagonal block is exactly zero, so
+     those steps can never keep their diagonal and must fall through
+     to largest-modulus pivoting — under either ordering *)
+  let rng = Rng.create 245 in
+  let na = 24 and nb = 9 in
+  let n = na + nb in
+  let bld = Scsr.create ~rows:n ~cols:n () in
+  for i = 0 to na - 1 do
+    Scsr.add bld (nb + i) (nb + i) (Cx.add (cx 4. 0.) (Rng.complex_gaussian rng));
+    Scsr.add bld (nb + i) (nb + Rng.int rng na) (Rng.complex_gaussian rng)
+  done;
+  for j = 0 to nb - 1 do
+    List.iter
+      (fun i ->
+        let v = Rng.complex_gaussian rng in
+        Scsr.add bld (nb + i) j v;
+        Scsr.add bld j (nb + i) v)
+      [ j; (j + 5) mod na; (2 * j + 11) mod na ]
+  done;
+  let sp = Scsr.compress bld in
+  let d = Scsr.to_dense sp in
+  for j = 0 to nb - 1 do
+    Alcotest.(check bool) "zero diagonal" true
+      (Cx.abs (Cmat.get d j j) = 0.)
+  done;
+  let rhs = Cmat.random rng n 2 in
+  let xd = Lu.solve_mat d rhs in
+  List.iter
+    (fun ordering ->
+      let xs = Slu.solve (factorize_ok ~ordering sp) rhs in
+      check_small ~tol:1e-12 "saddle sparse = dense solve"
+        (Cmat.norm_fro (Cmat.sub xs xd) /. (1. +. Cmat.norm_fro xd)))
+    [ `Natural; `Amd ]
+
+(* RL planes: every plane segment adds a branch-current row whose
+   diagonal is R + jwL, nearly zero at low frequency.  Strict partial
+   pivoting swaps those rows out of the AMD order and fills the factors
+   tens of times over; the threshold rule keeps the order at every
+   shift without giving up backward stability. *)
+
+let norm_fro_sparse (a : Scsr.t) =
+  let acc = ref 0. in
+  Array.iteri
+    (fun p re -> acc := !acc +. (re *. re) +. (a.Scsr.im.(p) *. a.Scsr.im.(p)))
+    a.Scsr.re;
+  sqrt !acc
+
+let test_lu_rl_plane_fill_and_backward_error () =
+  let saved = Parallel.domain_count () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_domain_count saved)
+    (fun () ->
+      List.iter
+        (fun side ->
+          let spec =
+            { Pdn.default_spec with
+              nx = side; ny = side; ports = 4; decaps = 2; plane_rl = true }
+          in
+          let g, c, b, _ = Mna.sparse_system (Pdn.build spec) in
+          let perm =
+            Ordering.amd (Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g)
+          in
+          List.iter
+            (fun freq ->
+              let a =
+                Scsr.scale_add ~alpha:(Cx.jw (2. *. Float.pi *. freq)) c
+                  ~beta:Cx.one g
+              in
+              let label = Printf.sprintf "%dx%d RL at %.0e Hz" side side freq in
+              let solve pool =
+                Parallel.set_domain_count pool;
+                let f = factorize_ok ~perm a in
+                (f, Slu.solve f b)
+              in
+              let f, x = solve 1 in
+              let ratio =
+                float_of_int (Slu.fill f) /. float_of_int (Scsr.nnz a)
+              in
+              if ratio > 6. then
+                Alcotest.failf "%s: fill %.1fx the pencil's nnz exceeds 6x"
+                  label ratio;
+              let resid = Cmat.sub (Scsr.mul_mat a x) b in
+              check_small ~tol:1e-10 (label ^ ": backward error")
+                (Cmat.norm_fro resid
+                 /. ((norm_fro_sparse a *. Cmat.norm_fro x)
+                     +. Cmat.norm_fro b));
+              let _, x4 = solve 4 in
+              Alcotest.(check bool) (label ^ ": bit identical at 4 domains")
+                true (Cmat.equal ~tol:0. x x4))
+            [ 1e5; 1e6; 1e9 ])
+        [ 12; 20 ])
+
 (* ------------------------------------------------------------------ *)
 (* Orderings *)
 
@@ -512,6 +605,12 @@ let test_krylov_reduce_accuracy () =
     (Array.length kr.Krylov.history > 0);
   Alcotest.(check bool) "factorizations counted" true
     (kr.Krylov.factorizations >= krylov_test_options.Krylov.shifts);
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " timed") true
+        (List.mem_assoc key kr.Krylov.timings))
+    [ "factor"; "solve" ];
+  Alcotest.(check bool) "max fill >= 1" true (kr.Krylov.max_fill >= 1.);
   (* fresh frequencies: neither shifts nor hold-out probes *)
   let freqs = [| 3.3e5; 4.7e6; 8.9e7; 6.1e8 |] in
   let exact = Mna.impedance circuit freqs in
@@ -594,7 +693,11 @@ let () =
            test_lu_permuted_identity;
          Alcotest.test_case "singular typed" `Quick test_lu_singular_typed;
          Alcotest.test_case "bad perm typed" `Quick test_lu_bad_perm_typed;
-         Alcotest.test_case "fill reported" `Quick test_lu_fill_reported ]);
+         Alcotest.test_case "fill reported" `Quick test_lu_fill_reported;
+         Alcotest.test_case "zero-diagonal saddle" `Quick
+           test_lu_zero_diagonal_saddle;
+         Alcotest.test_case "rl plane fill and backward error" `Quick
+           test_lu_rl_plane_fill_and_backward_error ]);
       ("ordering",
        [ Alcotest.test_case "correct and helpful" `Quick
            test_orderings_correct_and_helpful;
